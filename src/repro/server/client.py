@@ -8,8 +8,11 @@ API.  The robustness surface mirrors the server's:
   deterministic seeded exponential backoff workers restart with -- so
   a client riding out a server restart retries on a reproducible
   schedule instead of hammering;
-* *retryable* failures (connection refused/reset, timeouts, 429 load
-  shed, 503 drain) consume budget and back off;  *terminal* failures
+* *retryable* failures (connection refused/reset, timeouts, torn or
+  truncated responses -- any :class:`http.client.HTTPException`, e.g.
+  a 202 whose body never arrived because the server died between
+  writing the headers and the body -- 429 load shed, 503 drain)
+  consume budget and back off;  *terminal* failures
   (400 malformed, 413 oversize) raise :class:`ServerError`
   immediately -- retrying a bad request is never going to help;
 * :meth:`SweepClient.wait` **resubmits on 404**: a submission the
@@ -25,6 +28,7 @@ maps to its own exit code (4) -- distinct from cell failures (1) and
 interruption (3).
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -137,7 +141,11 @@ class SweepClient:
                                   % (exc.code, url, detail),
                                   status=exc.code)
             except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError) as exc:
+                    TimeoutError, OSError,
+                    http.client.HTTPException) as exc:
+                # HTTPException covers a torn response (IncompleteRead,
+                # BadStatusLine): a lost ACK, safe to resubmit since
+                # submission is idempotent by content hash.
                 last_error = exc
                 continue
         raise ServerUnavailable(url, self.retry_budget, last_error)

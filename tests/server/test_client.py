@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.cli import EXIT_UNAVAILABLE, main
 from repro.orchestrator import JobSpec
 from repro.orchestrator.supervise import BackoffPolicy
 from repro.server import (
@@ -25,9 +26,21 @@ def _spec(percent=100.0):
                    impedance_percent=percent, seed=11)
 
 
+#: Script entry: drop the connection without sending any response.
+HANG_UP = None
+
+
+def _torn(status, payload):
+    """Script entry: send the headers (with the full ``Content-Length``)
+    and half the body, then close -- a server dying mid-response."""
+    return (status, payload, True)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """Scripted responses: the test enqueues (status, payload) pairs
-    on the server; each request pops the next one."""
+    on the server; each request pops the next one.  A ``bytes``
+    payload is sent verbatim; :func:`_torn` and :data:`HANG_UP`
+    entries script a response cut short."""
 
     protocol_version = "HTTP/1.1"
 
@@ -36,13 +49,24 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def _respond(self):
         self.server.requests.append((self.command, self.path))
-        status, payload = self.server.script.pop(0)
-        body = json.dumps(payload).encode("utf-8")
+        # Drain the request body so closing early sends FIN, not RST.
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        entry = self.server.script.pop(0)
+        if entry is HANG_UP:
+            self.close_connection = True
+            return
+        status, payload, *torn = entry
+        body = payload if isinstance(payload, bytes) \
+            else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if torn:
+            self.wfile.write(body[:len(body) // 2])
+            self.close_connection = True
+        else:
+            self.wfile.write(body)
 
     do_GET = _respond
     do_POST = _respond
@@ -125,6 +149,60 @@ class TestRetrySchedule:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             SweepClient("http://127.0.0.1:1", retry_budget=0)
+
+
+def _receipt(spec):
+    return {"jobs": [{"job": spec.content_hash(), "status": "queued"}],
+            "queue": {"queued": 1, "running": 0, "done": 0}}
+
+
+class TestTornResponses:
+    """A server killed between writing its headers and its body leaves
+    the client a response shorter than its ``Content-Length``
+    (``http.client.IncompleteRead``).  That is a lost ACK, retryable
+    like a refused connection -- never an exception escaping the
+    client."""
+
+    def test_torn_ack_is_retried_and_next_response_returned(self, stub):
+        spec = _spec()
+        sleeps = []
+        stub.script = [_torn(202, _receipt(spec)), (202, _receipt(spec))]
+        client = _client(stub, budget=3, sleeps=sleeps)
+        assert client.submit([spec]) == _receipt(spec)
+        assert client.requests_sent == 2
+        assert len(sleeps) == 1
+
+    def test_always_torn_exhausts_budget_into_unavailable(self, stub):
+        stub.script = [_torn(200, {"status": "ok"})] * 3
+        client = _client(stub, budget=3)
+        with pytest.raises(ServerUnavailable) as excinfo:
+            client.health()
+        assert excinfo.value.attempts == 3
+        assert "IncompleteRead" in excinfo.value.last_error
+        assert client.requests_sent == 3
+
+    def test_complete_unparsable_body_stays_terminal(self, stub):
+        stub.script = [(200, b"{not json")] * 5
+        client = _client(stub, budget=5)
+        with pytest.raises(ServerError) as excinfo:
+            client.health()
+        assert excinfo.value.status is None
+        assert "unparsable server response" in str(excinfo.value)
+        assert client.requests_sent == 1
+
+    def test_submit_cli_exits_unavailable_after_torn_ack(
+            self, stub, capsys):
+        # The 202 is torn, then the server stops answering: the CLI
+        # maps the exhausted budget to its documented exit code.
+        stub.script = [_torn(202, _receipt(_spec())), HANG_UP]
+        code = main(["submit",
+                     "--server",
+                     "http://127.0.0.1:%d" % stub.server_address[1],
+                     "--workloads", "swim", "--cycles", "250",
+                     "--retry-budget", "2", "--poll-seconds", "0.01"])
+        assert code == EXIT_UNAVAILABLE
+        assert "server unavailable" in capsys.readouterr().err
+        assert [m for m, _p in stub.requests] == ["POST", "POST"]
 
 
 class TestWaitResubmission:
